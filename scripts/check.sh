@@ -14,6 +14,27 @@ cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
 ASAN_OPTIONS=detect_leaks=0 ctest --preset asan -j"$(nproc)" "$@"
 
+# Repeat loop: the cluster suites, 20 runs each, side by side (~4 minutes,
+# bounded by test_rc). A flake that fails one run in ten — as the
+# speculative read-chain starvation of the shared work pool did — fails
+# here instead of slipping through a single green pass.
+repeat_suites=(test_rc test_batch test_batch_adaptive test_reconfig)
+repeat_pids=()
+for t in "${repeat_suites[@]}"; do
+  ASAN_OPTIONS=detect_leaks=0 "./build-asan/tests/$t" --gtest_repeat=20 \
+    > "build-asan/repeat_$t.log" 2>&1 &
+  repeat_pids+=("$!")
+done
+repeat_failed=0
+for i in "${!repeat_suites[@]}"; do
+  if ! wait "${repeat_pids[$i]}"; then
+    repeat_failed=1
+    echo "repeat loop: ${repeat_suites[$i]} failed; see build-asan/repeat_${repeat_suites[$i]}.log"
+    grep -E "FAILED|Failure" "build-asan/repeat_${repeat_suites[$i]}.log" | head -20
+  fi
+done
+[ "$repeat_failed" -eq 0 ]
+
 # Bounded TSan chaos pass: a handful of transactions per client keeps the
 # whole pass within ~2 minutes while still driving retries, duplicate
 # replies, and flapping links through every engine flavour. The predict

@@ -2,16 +2,17 @@
 // (DESIGN.md §12): plan -> execute queues -> compute -> one batch-wide
 // commit round -> dependency closure -> decide broadcast.
 //
-// The commit protocol is Replicated Commit lifted to batches: the client
-// sends the whole batch to a coordinator in every datacentre
-// (rc.batch_commit); each coordinator runs a DC-local 2PC across its shards
-// (batch.prepare validates the shard's slice of every transaction in queue
-// order under ONE store lock hold) and returns a per-transaction vote
-// vector; a transaction commits once a majority of DCs voted yes for it.
-// The client then closes dependencies — a transaction whose overlay read
-// came from an aborted transaction aborts too, transitively — and
-// broadcasts rc.batch_decide, which applies all decided writes per shard
-// with one group TxnLog append.
+// The commit protocol is rc::commit_round, the one Replicated Commit round
+// (a per-transaction commit is a batch of one): the client sends the whole
+// batch to a coordinator in every datacentre (rc.commit); each coordinator
+// runs a DC-local 2PC across its shards (rc.prepare validates the shard's
+// slice of every transaction in queue order under ONE store lock hold) and
+// returns a per-transaction vote vector; a transaction commits once a
+// majority of DCs voted yes for it. The client then closes dependencies —
+// a transaction whose overlay read came from an aborted transaction aborts
+// too, transitively — and broadcasts rc.decide, which applies all decided
+// writes per shard with one group TxnLog append. kPerTxn2pc runs the same
+// round once per transaction.
 #pragma once
 
 #include <atomic>
@@ -123,19 +124,16 @@ class BatchClient {
  private:
   using View = std::shared_ptr<const rc::ClusterView>;
 
-  struct ComputedTxn {
-    std::vector<kv::ReadValidation> validations;  // wire reads only
-    std::vector<kv::WriteOp> writes;
-  };
-
   EpochResult run_batched(const BatchPlan& plan, const View& view,
                           BatchMode mode);
   EpochResult run_per_txn(const BatchPlan& plan, const View& view);
 
   /// Resolves reads / applies transforms in queue (= batch) order against
   /// the rolling overlay of queued writes; wire reads come from `reads`.
-  std::vector<ComputedTxn> compute(const BatchPlan& plan,
-                                   const ReadSet& reads);
+  /// One commit entry per transaction: validations of its wire reads only,
+  /// and its final writes.
+  std::vector<kv::BatchEntry> compute(const BatchPlan& plan,
+                                      const ReadSet& reads);
 
   void prime_predictions(const BatchPlan& plan);
 
@@ -157,12 +155,6 @@ class BatchClient {
   void feed_controller(const BatchDecision& decision,
                        const EpochResult& result,
                        const StatsSnapshot& before, Duration epoch_time);
-
-  /// Classic RC commit round for one transaction (the per-txn baseline).
-  /// Throws rc::WrongEpochError when the round failed on a stale view.
-  bool commit_single(const rc::ClusterView& view, kv::TxnId txn_id,
-                     const std::vector<kv::ReadValidation>& validations,
-                     const std::vector<kv::WriteOp>& writes);
 
   rc::RpcKit& kit_;
   std::shared_ptr<rc::ViewProvider> views_;

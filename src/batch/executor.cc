@@ -56,7 +56,7 @@ rc::ReadResult BatchExecutor::quorum_read(const rc::ClusterView& view,
                                           std::size_t pos) {
   std::vector<rc::FuturePtr> futures;
   for (const auto& addr : replicas_for(view, shard)) {
-    futures.push_back(kit_.call(addr, rc::kBatchRead,
+    futures.push_back(kit_.call(addr, rc::kRead,
                                 read_args(key, epoch, shard, pos, view.epoch)));
   }
   auto result = rc::quorum_wait_detailed(futures, read_quorum_);
@@ -97,14 +97,16 @@ spec::CallbackFactory BatchExecutor::chain_factory(
       if (idx + 1 < reads->size()) {
         const WireRead& next = (*reads)[idx + 1];
         return ctx.call_quorum(
-            replicas_for(*view, next.shard), read_quorum_, rc::kBatchRead,
+                replicas_for(*view, next.shard), read_quorum_, rc::kRead,
             read_args(next.key, epoch, next.shard, next.pos, view->epoch),
             rc::max_version_combiner,
             chain_factory(view, reads, epoch, idx + 1, std::move(mine)));
       }
-      // Queue tail: block until every speculation in this chain resolved —
-      // nothing speculative may reach the commit round (§4.1 specBlock).
-      ctx.spec_block();
+      // Queue tail: no spec_block. execute() hands the chain's results to
+      // the commit round only after future->get(), and the future resolves
+      // only from a branch that is correct at every link — nothing
+      // speculative reaches the commit round (§4.1 specBlock). Parking the
+      // tail instead pins an executor worker per live speculative branch.
       ValueList out;
       out.reserve(mine.size());
       for (const auto& r : mine) out.push_back(vlist(r.key, r.value, r.version));
@@ -130,7 +132,7 @@ ReadSet BatchExecutor::execute(const BatchPlan& plan, BatchMode mode,
       auto shared = std::make_shared<const std::vector<WireRead>>(reads);
       const WireRead& first = (*shared)[0];
       auto future = engine->call_quorum(
-          replicas_for(*view, first.shard), read_quorum_, rc::kBatchRead,
+          replicas_for(*view, first.shard), read_quorum_, rc::kRead,
           read_args(first.key, plan.epoch, first.shard, first.pos,
                     view->epoch),
           rc::max_version_combiner,

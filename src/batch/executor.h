@@ -7,7 +7,12 @@
 // queues).
 //
 // kSpeculative: each shard queue becomes a SpecRPC callback chain over its
-// wire reads, issued concurrently across shards. The reads carry no
+// wire reads, issued concurrently across shards. Chain callbacks never
+// spec_block: the chain's future resolves only from branches that are
+// correct at every link, and execute() returns only after every chain's
+// future->get(), so the ReadSet is non-speculative without parking a
+// worker per speculative branch (a poisoned queue fans out two branches
+// per link, and parked tails once starved the shared executor). The reads carry no
 // explicit predictions — the engine's PredictionSupplier hook consults the
 // client's QueueSeedPredictor (primed from queue order by the planner), so
 // accuracy tracking, the speculation budget and admission governance all
@@ -42,17 +47,16 @@ class BatchExecutor {
                 int my_dc, int read_quorum, std::shared_ptr<SeedStore> seeds);
 
   /// Resolves every wire read of `plan` under `view` (the view the plan was
-  /// routed with — every batch.read is stamped with its epoch, so a server
+  /// routed with — every rc.read is stamped with its epoch, so a server
   /// on a newer view NACKs and the whole call surfaces WrongEpochError for
   /// the client to re-plan). kSpeculative requires the kit to wrap a
   /// SpecRPC engine and falls back to the sequential path otherwise.
-  /// Speculative chains spec_block before returning results, so everything
-  /// in the ReadSet is non-speculative.
+  /// Everything in the returned ReadSet is non-speculative.
   ReadSet execute(const BatchPlan& plan, BatchMode mode,
                   std::shared_ptr<const rc::ClusterView> view);
 
-  /// One blocking quorum read through the batch.read method (also used by
-  /// the per-txn baseline so all modes share server-side read semantics).
+  /// One blocking quorum read with the queue-position args (also used by
+  /// the per-txn baseline so all modes read the same way).
   /// Throws rc::WrongEpochError on a stale-epoch NACK.
   rc::ReadResult quorum_read(const rc::ClusterView& view,
                              const std::string& key, std::uint64_t epoch,

@@ -21,7 +21,6 @@ BatchPlan TxnPlanner::plan(const rc::ClusterView& view,
   for (std::size_t i = 0; i < txns.size(); ++i) {
     PlannedTxn planned;
     planned.txn = std::move(txns[i]);
-    planned.txn_id = static_cast<kv::TxnId>(rc::next_txn_stamp());
     std::set<int> shards;
     std::set<std::size_t> deps;
 

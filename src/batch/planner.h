@@ -30,7 +30,7 @@ struct QueueEntry {
 };
 
 /// One read RPC of the batch: shard queue slot -> key. `pos` is the
-/// ordinal among the shard's wire reads and is part of the batch.read args,
+/// ordinal among the shard's wire reads and is part of the rc.read args,
 /// giving every queue position a unique predictor key.
 struct WireRead {
   std::string key;
@@ -42,7 +42,6 @@ struct WireRead {
 
 struct PlannedTxn {
   BatchTxn txn;
-  kv::TxnId txn_id = 0;  // globally stamped; commit version = 1e9 + txn_id
   /// Batch positions of earlier transactions whose queued writes this one
   /// reads (overlay reads). If any of them aborts, this one must too.
   std::vector<std::size_t> deps;
@@ -74,9 +73,9 @@ struct BatchPlan {
 
 class TxnPlanner {
  public:
-  /// Plans one epoch under `view`'s shard map. Stamps every transaction
-  /// with a global txn id (in batch order, so commit versions increase
-  /// along the batch) and increments the epoch counter.
+  /// Plans one epoch under `view`'s shard map and increments the epoch
+  /// counter. Commit stamps are taken later, at commit time
+  /// (rc::stamp_entries).
   BatchPlan plan(const rc::ClusterView& view, std::vector<BatchTxn> txns);
 
   std::uint64_t epochs() const { return epoch_; }

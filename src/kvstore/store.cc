@@ -54,50 +54,16 @@ std::size_t VersionedStore::size() const {
 bool VersionedStore::prepare(TxnId txn,
                              const std::vector<ReadValidation>& reads,
                              const std::vector<WriteOp>& writes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Validate reads: version unchanged and not locked by a concurrent writer.
-  for (const auto& r : reads) {
-    auto lit = locks_.find(r.key);
-    if (lit != locks_.end() && lit->second != txn) return false;
-    auto dit = data_.find(r.key);
-    const std::int64_t current = dit == data_.end() ? 0 : dit->second.version;
-    if (current != r.version) return false;
-  }
-  // Acquire write locks; no waiting (fail-fast keeps us deadlock-free).
-  std::vector<std::string> acquired;
-  acquired.reserve(writes.size());
-  for (const auto& w : writes) {
-    auto [it, inserted] = locks_.emplace(w.key, txn);
-    if (!inserted && it->second != txn) {
-      for (const auto& k : acquired) locks_.erase(k);
-      return false;
-    }
-    if (inserted) acquired.push_back(w.key);
-  }
-  auto& held = txn_locks_[txn];
-  held.insert(held.end(), acquired.begin(), acquired.end());
-  return true;
+  return prepare_batch(txn, {BatchEntry{txn, 0, reads, writes}})[0];
 }
 
 void VersionedStore::commit(TxnId txn, const std::vector<WriteOp>& writes,
                             std::int64_t commit_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& w : writes) {
-    auto& entry = data_[w.key];
-    if (commit_version > entry.version) {
-      entry.value = w.value;
-      entry.version = commit_version;
-    }
-  }
-  auto it = txn_locks_.find(txn);
-  if (it != txn_locks_.end()) {
-    for (const auto& k : it->second) {
-      auto lit = locks_.find(k);
-      if (lit != locks_.end() && lit->second == txn) locks_.erase(lit);
-    }
-    txn_locks_.erase(it);
-  }
+  // A one-entry batch whose stamp is 0, so its version is the base itself.
+  commit_batch(txn, {BatchEntry{0, 0, {}, writes}}, {true}, commit_version);
 }
+
+void VersionedStore::abort(TxnId txn) { abort_batch(txn); }
 
 std::vector<bool> VersionedStore::prepare_batch(
     TxnId batch_id, const std::vector<BatchEntry>& entries) {
@@ -172,25 +138,20 @@ void VersionedStore::commit_batch(TxnId batch_id,
       }
     }
   }
-  auto it = txn_locks_.find(batch_id);
-  if (it != txn_locks_.end()) {
-    for (const auto& k : it->second) {
-      auto lit = locks_.find(k);
-      if (lit != locks_.end() && lit->second == batch_id) locks_.erase(lit);
-    }
-    txn_locks_.erase(it);
-  }
+  release_locked(batch_id);
 }
 
-void VersionedStore::abort_batch(TxnId batch_id) { abort(batch_id); }
-
-void VersionedStore::abort(TxnId txn) {
+void VersionedStore::abort_batch(TxnId batch_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = txn_locks_.find(txn);
+  release_locked(batch_id);
+}
+
+void VersionedStore::release_locked(TxnId owner) {
+  auto it = txn_locks_.find(owner);
   if (it == txn_locks_.end()) return;
   for (const auto& k : it->second) {
     auto lit = locks_.find(k);
-    if (lit != locks_.end() && lit->second == txn) locks_.erase(lit);
+    if (lit != locks_.end() && lit->second == owner) locks_.erase(lit);
   }
   txn_locks_.erase(it);
 }

@@ -36,11 +36,11 @@ struct WriteOp {
   std::string value;
 };
 
-/// One transaction's footprint on one shard inside a batch (queue-oriented
-/// group commit, DESIGN.md §12). `index` is the transaction's global
-/// position in the batch (queue order); `txn` is its globally-stamped id,
-/// from which every replica derives the same commit version
-/// (version_base + txn, the rc convention) without coordination.
+/// One transaction's footprint on one shard inside a commit batch (a
+/// per-transaction commit is a batch of one, DESIGN.md §12.4). `index` is
+/// the transaction's position in the batch (queue order); `txn` is its
+/// commit stamp, from which every replica derives the same commit version
+/// (version_base + txn) without coordination.
 struct BatchEntry {
   TxnId txn = 0;
   std::size_t index = 0;
@@ -75,24 +75,22 @@ class VersionedStore {
 
   std::size_t size() const;
 
-  /// 2PC prepare: atomically (a) write-lock every write key, (b) validate
-  /// that every read version is still current and none of the read keys is
-  /// write-locked by another transaction. On failure nothing stays locked.
+  /// One-transaction forms of the batch calls below (a transaction is a
+  /// batch of one): prepare locks `writes` and validates `reads` under owner
+  /// `txn`; commit applies `writes` at `commit_version` (versions only move
+  /// forward, so a replica that voted no may still apply) and releases
+  /// txn's locks; abort releases them without applying.
   bool prepare(TxnId txn, const std::vector<ReadValidation>& reads,
                const std::vector<WriteOp>& writes);
-
-  /// Applies the writes at `commit_version` and releases txn's locks.
-  /// Also called on replicas that voted no but saw the global commit:
-  /// versions only move forward.
   void commit(TxnId txn, const std::vector<WriteOp>& writes,
               std::int64_t commit_version);
-
-  /// Releases txn's locks without applying.
   void abort(TxnId txn);
 
-  /// Batch prepare (queue-oriented group commit): validates every entry in
-  /// queue order under ONE lock hold and returns a per-entry vote. All write
-  /// locks of yes-voting entries are acquired with `batch_id` as the owner,
+  /// Prepare: validates every entry in queue order under ONE lock hold and
+  /// returns a per-entry vote. An entry votes yes when every read version
+  /// is still current and no read or write key is locked by another owner.
+  /// All write locks of yes-voting entries are acquired with `batch_id` as
+  /// the owner,
   /// so intra-batch write-write overlap on a key is not a conflict (queue
   /// order serialises it) and release is a single abort/commit of the batch.
   /// A read whose key was written by an earlier yes-voting entry of the same
@@ -103,7 +101,7 @@ class VersionedStore {
                                   const std::vector<BatchEntry>& entries);
 
   /// Applies the writes of entries whose `decisions[i]` is true, each at
-  /// commit_version = version_base + entry.txn (txn stamps are allocated in
+  /// commit_version = version_base + entry.txn (stamps are allocated in
   /// queue order, so versions strictly increase along the batch), then
   /// releases every lock owned by `batch_id`. Entries with a false decision
   /// are skipped but their locks (shared under batch_id) are still released.
@@ -128,6 +126,9 @@ class VersionedStore {
   std::size_t locked_keys() const;
 
  private:
+  /// Drops every lock `owner` holds; mu_ must be held.
+  void release_locked(TxnId owner);
+
   mutable std::mutex mu_;
   std::unordered_map<std::string, VersionedValue> data_;
   std::unordered_map<std::string, TxnId> locks_;            // key -> owner

@@ -157,9 +157,11 @@ spec::CallbackFactory RcClient::chain_factory(
                                chain_factory(view, keys, idx + 1,
                                              std::move(mine)));
       }
-      // Last read: wait until every speculation in this chain is resolved
-      // before results become visible to the commit (§4.1 specBlock).
-      ctx.spec_block();
+      // Last read: no spec_block here. The top-level future resolves only
+      // from a correct branch at every link, and the commit runs after
+      // future->get() on the application thread — that get() is the §4.1
+      // specBlock. Parking the tail would pin an executor worker per live
+      // speculative branch.
       ValueList out;
       out.reserve(mine.size());
       for (const auto& r : mine)
@@ -245,76 +247,102 @@ void RcClient::commit_txn(const ClusterView& view,
     return;
   }
   const TimePoint t1 = Clock::now();
-  const std::int64_t txn = next_txn_stamp();
-  const std::int64_t commit_version = txn + 1'000'000'000;  // above loads
-  std::vector<kv::ReadValidation> validations;
-  validations.reserve(reads.size());
-  for (const auto& r : reads)
-    validations.push_back(kv::ReadValidation{r.key, r.version});
+  std::vector<kv::BatchEntry> entries(1);
+  entries[0].writes = writes;
+  for (const auto& r : reads) {
+    entries[0].reads.push_back(kv::ReadValidation{r.key, r.version});
+  }
+  result.committed =
+      commit_round(kit_, *views_, view, config_.vote_quorum, entries)[0];
+  result.commit_phase = Clock::now() - t1;
+}
 
-  // One wide-area round trip: commit request to every DC coordinator; the
-  // transaction commits once a majority votes yes.
+std::vector<bool> commit_round(
+    RpcKit& kit, ViewProvider& views, const ClusterView& view, int quorum,
+    std::vector<kv::BatchEntry>& entries,
+    const std::function<void(std::vector<bool>&)>& close) {
+  stamp_entries(entries);
+  for (std::size_t i = 0; i < entries.size(); ++i) entries[i].index = i;
+  const auto owner = static_cast<std::int64_t>(next_lock_owner());
+  const Value encoded = encode_batch_entries(entries);
+  const std::size_t n = entries.size();
+  const int num_dcs = view.num_dcs;
+
+  // One wide-area round trip: the whole batch to every DC coordinator; each
+  // entry commits once a majority of DCs votes yes for it.
   struct VoteState {
     std::mutex mu;
     std::condition_variable cv;
-    int yes = 0;
-    int no = 0;
+    std::vector<int> yes, no;
     std::string epoch_error;  // first coordinator wrong-epoch NACK, if any
   };
   auto votes = std::make_shared<VoteState>();
-  const int num_dcs = view.num_dcs;
-  const int quorum = config_.vote_quorum;
+  votes->yes.assign(n, 0);
+  votes->no.assign(n, 0);
   for (int dc = 0; dc < num_dcs; ++dc) {
     ValueList args;
-    args.emplace_back(txn);
-    args.push_back(encode_reads(validations));
-    args.push_back(encode_writes(writes));
+    args.emplace_back(owner);
+    args.push_back(encoded);
     args.emplace_back(view.epoch);
-    auto future = kit_.call(view.coord_addr(dc), kCommit, std::move(args));
-    future->then([votes](const Outcome& outcome) {
+    auto future = kit.call(view.coord_addr(dc), kCommit, std::move(args));
+    future->then([votes, n](const Outcome& outcome) {
       std::lock_guard<std::mutex> lock(votes->mu);
-      if (outcome.ok && outcome.value.as_bool()) {
-        votes->yes++;
-      } else {
-        votes->no++;
-        if (!outcome.ok && votes->epoch_error.empty() &&
-            is_wrong_epoch(outcome.error)) {
-          votes->epoch_error = outcome.error;
+      std::vector<bool> flags;
+      if (outcome.ok) flags = decode_batch_flags(outcome.value);
+      if (!outcome.ok && is_wrong_epoch(outcome.error) &&
+          votes->epoch_error.empty()) {
+        votes->epoch_error = outcome.error;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i < flags.size() && flags[i]) {
+          votes->yes[i]++;
+        } else {
+          votes->no[i]++;
         }
       }
       votes->cv.notify_all();
     });
   }
-  bool committed;
+  std::vector<bool> decisions(n, false);
   std::string epoch_error;
   {
     Executor::before_block();
     std::unique_lock<std::mutex> lock(votes->mu);
     votes->cv.wait(lock, [&] {
-      return votes->yes >= quorum || votes->no > num_dcs - quorum;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (votes->yes[i] < quorum && votes->no[i] <= num_dcs - quorum) {
+          return false;
+        }
+      }
+      return true;
     });
-    committed = votes->yes >= quorum;
+    for (std::size_t i = 0; i < n; ++i) decisions[i] = votes->yes[i] >= quorum;
     epoch_error = votes->epoch_error;
   }
-  // Broadcast the decision (asynchronous, off the latency path). A txn that
-  // lost its quorum to a wrong-epoch NACK aborts here too: DCs that DID
-  // prepare under the old epoch release their locks before we re-run.
-  const bool decision = committed;
+  if (close) close(decisions);
+
+  // Broadcast the decision (asynchronous, off the latency path). Entries
+  // that lost their quorum to a wrong-epoch NACK abort here too: DCs that
+  // DID prepare under the old epoch release their locks before a re-run.
+  // Stamped with the round's view epoch for the coordinators' union routing.
   for (int dc = 0; dc < num_dcs; ++dc) {
     ValueList args;
-    args.emplace_back(txn);
-    args.emplace_back(decision);
-    args.push_back(encode_writes(writes));
-    args.emplace_back(commit_version);
-    args.push_back(encode_reads(validations));
+    args.emplace_back(owner);
+    args.push_back(encoded);
+    args.push_back(encode_batch_flags(decisions));
     args.emplace_back(view.epoch);
-    kit_.call(view.coord_addr(dc), kDecide, std::move(args));
+    kit.call(view.coord_addr(dc), kDecide, std::move(args));
   }
-  if (!committed && !epoch_error.empty()) {
-    throw WrongEpochError(parse_wrong_epoch(epoch_error));
+  if (!epoch_error.empty()) {
+    bool any_committed = false;
+    for (const bool d : decisions) any_committed = any_committed || d;
+    // Nothing applied, every lock released: the caller may re-run the
+    // whole batch under the refreshed view. Otherwise keep the decisions
+    // and adopt the newer view quietly.
+    if (!any_committed) throw WrongEpochError(parse_wrong_epoch(epoch_error));
+    if (auto next = parse_wrong_epoch(epoch_error)) views.install(*next);
   }
-  result.committed = committed;
-  result.commit_phase = Clock::now() - t1;
+  return decisions;
 }
 
 }  // namespace srpc::rc

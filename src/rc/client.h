@@ -10,10 +10,16 @@
 //
 //   * run_speculative — reads form a SpecRPC callback chain: the first
 //     (local-DC) response predicts each quorum result, so all dependent
-//     reads overlap; the final callback specBlocks until every read is
-//     non-speculative before the commit is issued (§4.1: "Before calling
-//     commit ... an RC client will issue a specBlock to wait until all
-//     quorum reads become non-speculative").
+//     reads overlap. The commit is issued only after the chain's future
+//     resolves, and that future resolves only from branches that are
+//     correct at every link — the application thread's future->get() is
+//     the §4.1 specBlock ("Before calling commit ... an RC client will
+//     issue a specBlock to wait until all quorum reads become
+//     non-speculative"), so no callback parks an executor worker for it.
+//
+// Both commit through commit_round, the single Replicated Commit round
+// that the batch client (src/batch) also uses: a transaction is a batch of
+// one.
 //
 // Routing comes from a ViewProvider: every transaction snapshots the current
 // ClusterView, stamps its RPCs with the view's epoch, and on a wrong-epoch
@@ -23,6 +29,7 @@
 // epochs). TxnResult::view_refreshes counts those re-runs.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -95,9 +102,9 @@ class RcClient {
       View view, std::shared_ptr<const std::vector<std::string>> keys,
       std::size_t idx, std::vector<ReadResult> acc) const;
 
-  /// Commit phase shared by both strategies; fills committed/commit_phase.
-  /// A wrong-epoch NACK from a coordinator that cost us the vote quorum
-  /// aborts the transaction everywhere, then throws WrongEpochError.
+  /// Commit phase shared by both strategies: a commit_round of one entry;
+  /// fills committed/commit_phase. Throws WrongEpochError as commit_round
+  /// does.
   void commit_txn(const ClusterView& view,
                   const std::vector<ReadResult>& reads,
                   const std::vector<kv::WriteOp>& writes, TxnResult& result);
@@ -110,5 +117,23 @@ class RcClient {
 /// Quorum-read combiner: the value with the highest version among the
 /// responses (RC's read rule).
 Value max_version_combiner(const std::vector<Value>& responses);
+
+/// The Replicated Commit round, for a batch of transaction entries in queue
+/// order (a per-transaction commit is a batch of one). Stamps the entries
+/// at commit time (stamp_entries: every commit version is above every
+/// version its entry validated), sends rc.commit to every DC coordinator,
+/// and blocks until each entry has `quorum` yes votes or can no longer get
+/// them. `close` (optional) may then veto entries — the batch client's
+/// dependency closure. The final decisions go out as rc.decide to every DC
+/// (asynchronously) and are returned.
+///
+/// A coordinator's wrong-epoch NACK: if no entry committed, throws
+/// WrongEpochError after the decide broadcast released every lock, so the
+/// caller may re-run the batch under the NACK's view; otherwise installs
+/// that view into `views` and returns the decisions.
+std::vector<bool> commit_round(
+    RpcKit& kit, ViewProvider& views, const ClusterView& view, int quorum,
+    std::vector<kv::BatchEntry>& entries,
+    const std::function<void(std::vector<bool>&)>& close = nullptr);
 
 }  // namespace srpc::rc

@@ -1,6 +1,8 @@
 #include "rc/common.h"
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 
 namespace srpc::rc {
 
@@ -110,9 +112,28 @@ decode_store_entries(const Value& v) {
   return out;
 }
 
-std::int64_t next_txn_stamp() {
+void stamp_entries(std::vector<kv::BatchEntry>& entries) {
   static std::atomic<std::int64_t> counter{1};
-  return counter.fetch_add(1);
+  std::int64_t floor = 0;  // stamps must exceed every validated read's
+  for (const auto& e : entries) {
+    for (const auto& r : e.reads) {
+      floor = std::max(floor, r.version - kVersionBase);
+    }
+  }
+  std::int64_t cur = counter.load();
+  while (cur <= floor && !counter.compare_exchange_weak(cur, floor + 1)) {
+  }
+  std::int64_t stamp =
+      counter.fetch_add(static_cast<std::int64_t>(entries.size()));
+  for (auto& e : entries) e.txn = static_cast<kv::TxnId>(stamp++);
+}
+
+kv::TxnId next_lock_owner() {
+  static const std::uint64_t prefix =
+      (1ULL << 62) |
+      ((std::uint64_t{std::random_device{}()} & 0x3FFFFFFF) << 32);
+  static std::atomic<std::uint32_t> counter{0};
+  return prefix | counter.fetch_add(1);
 }
 
 }  // namespace srpc::rc

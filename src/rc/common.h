@@ -30,28 +30,28 @@
 
 namespace srpc::rc {
 
-/// Method names. Epoch-checked methods carry the caller's view epoch as
-/// their LAST argument and are NACKed with kWrongEpoch on mismatch:
-/// rc.read, rc.prepare, rc.commit and their batch forms. Decision-side
-/// methods (rc.decide/apply/abort, batch.apply, rc.batch_decide) are not
-/// epoch-checked — an in-flight 2PC resolves in the epoch that prepared it.
+/// Method names. There is one commit path (DESIGN.md §12.4): a
+/// per-transaction commit is a batch of one entry.
+///   rc.read    (key, ..., vepoch)             -> (value, version)   shard
+///   rc.commit  (owner, entries, vepoch)       -> (votes)   coordinator
+///   rc.prepare (owner, entries, vepoch)       -> (votes)   shard
+///   rc.decide  (owner, entries, decisions, vepoch)         coordinator
+///   rc.apply   (owner, entries, decisions[, sender_vepoch]) shard
+/// `owner` is the round's lock owner (next_lock_owner); `entries` are
+/// encode_batch_entries, one per transaction in queue order; votes and
+/// decisions are encode_batch_flags, one per entry. rc.read args past the
+/// key only give every read position a distinct predictor key (the batch
+/// executor sends (key, batch-epoch, shard, pos, vepoch)).
+///
+/// rc.read, rc.commit and rc.prepare carry the caller's view epoch as their
+/// LAST argument and are NACKed with kWrongEpoch on mismatch. rc.decide and
+/// rc.apply are not epoch-checked: an in-flight commit resolves in the epoch
+/// that prepared it.
 inline constexpr const char* kRead = "rc.read";
 inline constexpr const char* kCommit = "rc.commit";
 inline constexpr const char* kPrepare = "rc.prepare";
 inline constexpr const char* kDecide = "rc.decide";
 inline constexpr const char* kApply = "rc.apply";
-inline constexpr const char* kAbort = "rc.abort";
-
-/// Batch-mode method names (queue-oriented group commit, DESIGN.md §12).
-/// batch.read args carry (key, batch-epoch, shard, pos, view-epoch) so every
-/// queue position gets a distinct predictor key — queue-order seeds never
-/// collide across positions, batch epochs, or view epochs (migrated keys
-/// must not serve predictions seeded under the old placement).
-inline constexpr const char* kBatchRead = "batch.read";
-inline constexpr const char* kBatchPrepare = "batch.prepare";
-inline constexpr const char* kBatchApply = "batch.apply";
-inline constexpr const char* kBatchCommit = "rc.batch_commit";
-inline constexpr const char* kBatchDecide = "rc.batch_decide";
 
 /// View-change protocol (DESIGN.md §13).
 ///   view.install (view_wire)        -> (epoch)       servers/coords adopt
@@ -100,10 +100,8 @@ std::vector<kv::ReadValidation> decode_reads(const Value& v);
 Value encode_writes(const std::vector<kv::WriteOp>& writes);
 std::vector<kv::WriteOp> decode_writes(const Value& v);
 
-/// Batch wire format: a batch is a list of per-transaction entries, each
-/// vlist(txn, global_index, reads, writes) with reads/writes encoded as
-/// above. Shared by batch.prepare (shard payload) and rc.batch_commit
-/// (coordinator fan-out).
+/// Commit wire format: a list of per-transaction entries, each
+/// vlist(txn, index, reads, writes) with reads/writes encoded as above.
 Value encode_batch_entries(const std::vector<kv::BatchEntry>& entries);
 std::vector<kv::BatchEntry> decode_batch_entries(const Value& v);
 
@@ -118,7 +116,19 @@ Value encode_store_entries(
 std::vector<std::tuple<std::string, std::string, std::int64_t>>
 decode_store_entries(const Value& v);
 
-/// Monotonic unique ids for transactions/commit versions within a process.
-std::int64_t next_txn_stamp();
+/// Commit versions are kVersionBase + the entry's stamp, above every
+/// preloaded version.
+inline constexpr std::int64_t kVersionBase = 1'000'000'000;
+
+/// Stamps every entry's `txn` at commit time, in queue order, from this
+/// process's stamp counter, first advanced past every read version the
+/// entries validate (a Lamport clock). Each commit version is therefore
+/// above every version its transaction read — even when another process
+/// committed that version — and versions increase along the batch.
+void stamp_entries(std::vector<kv::BatchEntry>& entries);
+
+/// A fresh lock owner for one commit round: unique within the process and,
+/// through a random per-process prefix, across client processes. Never 0.
+kv::TxnId next_lock_owner();
 
 }  // namespace srpc::rc

@@ -1,10 +1,14 @@
 // Replicated Commit servers: shard replica + per-DC coordinator.
 //
-// ShardServer exposes quorum-read and local-2PC participant operations over
-// one VersionedStore replica. Coordinator runs the datacentre-local 2PC for
-// rc.commit and forwards the global decision to its shards. Both are
-// framework-independent via RpcKit, matching the paper's claim that the RC
-// protocol code is unchanged between the gRPC/TradRPC/SpecRPC builds.
+// ShardServer exposes quorum reads (rc.read) and the local-2PC participant
+// operations (rc.prepare, rc.apply) over one VersionedStore replica.
+// Coordinator runs the datacentre-local 2PC for rc.commit and forwards the
+// global decision (rc.decide) to its shards. There is one commit path: every
+// commit carries a batch of transaction entries with per-entry votes and
+// decisions, and a per-transaction commit is a batch of one (DESIGN.md
+// §12.4). Both are framework-independent via RpcKit, matching the paper's
+// claim that the RC protocol code is unchanged between the
+// gRPC/TradRPC/SpecRPC builds.
 //
 // Both take a ViewProvider (rc/view.h): routed requests carry the caller's
 // view epoch and are NACKed with kWrongEpoch when it differs from the
@@ -29,11 +33,13 @@
 
 namespace srpc::rc {
 
+/// Simulated service time per request, charged once per message whatever
+/// the number of entries it carries.
 struct ServerCosts {
   Duration read{};     // per rc.read
-  Duration prepare{};  // per rc.prepare
-  Duration apply{};    // per rc.apply / rc.abort
-  Duration commit{};   // per rc.commit at the coordinator
+  Duration prepare{};  // per rc.prepare (one shard's slice of a batch)
+  Duration apply{};    // per rc.apply (decided or aborted)
+  Duration commit{};   // per rc.commit / rc.decide at the coordinator
 };
 
 class ShardServer {
@@ -58,10 +64,8 @@ class ShardServer {
                   std::function<void(Outcome)> respond, int attempt);
   void handle_prepare(ValueList args, std::function<void(Outcome)> respond,
                       int attempt);
-  void handle_batch_prepare(ValueList args,
-                            std::function<void(Outcome)> respond, int attempt);
-  void handle_batch_apply(ValueList args,
-                          std::function<void(Outcome)> respond);
+  void handle_apply(const ValueList& args,
+                    const std::function<void(Outcome)>& respond);
   void handle_view_install(ValueList args,
                            std::function<void(Outcome)> respond);
   void handle_view_pull(ValueList args, std::function<void(Outcome)> respond);
@@ -76,9 +80,10 @@ class ShardServer {
   /// retrying until the source has installed the epoch and drained prepared
   /// transactions on those keys.
   void pull_from(Address source, std::vector<int> slots, int attempt);
-  /// Re-applies writes whose key now lives on another shard of this DC.
-  void forward_migrated(kv::TxnId txn, const std::vector<kv::WriteOp>& writes,
-                        std::int64_t version);
+  /// Re-applies decided writes whose key now lives on another shard of
+  /// this DC.
+  void forward_migrated(const std::vector<kv::BatchEntry>& entries,
+                        const std::vector<bool>& decisions);
 
   RpcKit& kit_;
   kv::VersionedStore& store_;
@@ -102,12 +107,10 @@ class Coordinator {
 
  private:
   void with_cpu(Duration cost, std::function<void()> work);
-  void handle_commit(ValueList args, std::function<void(Outcome)> respond);
-  void handle_decide(ValueList args, std::function<void(Outcome)> respond);
-  void handle_batch_commit(ValueList args,
-                           std::function<void(Outcome)> respond);
-  void handle_batch_decide(ValueList args,
-                           std::function<void(Outcome)> respond);
+  void handle_commit(const ValueList& args,
+                     const std::function<void(Outcome)>& respond);
+  void handle_decide(const ValueList& args,
+                     const std::function<void(Outcome)>& respond);
 
   RpcKit& kit_;
   std::shared_ptr<ViewProvider> views_;

@@ -558,11 +558,17 @@ SpecFuturePtr SpecEngine::start_call(SpecNode::Ptr caller,
   }
   Actions actions;
   bool caller_speculative = false;
+  bool abandoned = false;
   {
     std::lock_guard<std::mutex> tree_lock(tree->mu);
     rec->node = make_node(SpecNode::Kind::kCall, std::move(caller), tree);
     rec->node->state.store(compute_state(*rec->node));
     caller_speculative = rec->node->state.load() != SpecState::kCorrect;
+    // The caller turned incorrect after call()'s liveness check. A node born
+    // terminal gets no state-change listener, so a request sent now would
+    // leave the server a caller-speculative record that nothing resolves:
+    // send nothing and resolve as abandoned (§3.3).
+    abandoned = rec->node->state.load() == SpecState::kIncorrect;
     for (std::size_t i = 0; i < rec->dsts.size(); ++i) {
       rec->wire_ids.emplace_back(next_call_id_.fetch_add(1), i);
     }
@@ -604,7 +610,7 @@ SpecFuturePtr SpecEngine::start_call(SpecNode::Ptr caller,
     // Client-side speculation (§2.1): each distinct predicted value starts a
     // fresh callback immediately — even before the request reaches the
     // server.
-    if (rec->factory) {
+    if (rec->factory && !abandoned) {
       for (auto& p : predictions) {
         bool dup = false;
         for (const auto& b : rec->branches) {
@@ -618,6 +624,11 @@ SpecFuturePtr SpecEngine::start_call(SpecNode::Ptr caller,
         }
       }
     }
+  }
+
+  if (abandoned) {
+    rec->future->resolve(Outcome::failure("abandoned"));
+    return rec->future;
   }
 
   // Publish phase: the logical record first, then the wire routes pointing

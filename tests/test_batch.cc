@@ -178,10 +178,6 @@ TEST(TxnPlanner, DecomposesIntoShardQueuesAndClassifiesReads) {
   ASSERT_EQ(plan.txns[2].deps.size(), 1u);
   EXPECT_EQ(plan.txns[2].deps[0], 1u);
 
-  // Txn ids are stamped in batch order.
-  EXPECT_LT(plan.txns[0].txn_id, plan.txns[1].txn_id);
-  EXPECT_LT(plan.txns[1].txn_id, plan.txns[2].txn_id);
-
   // Cross-partition flags.
   EXPECT_FALSE(plan.txns[0].cross_partition);
   EXPECT_TRUE(plan.txns[1].cross_partition);
@@ -189,6 +185,23 @@ TEST(TxnPlanner, DecomposesIntoShardQueuesAndClassifiesReads) {
 
   // Epoch counter advances.
   EXPECT_EQ(planner.plan(static_view(), {}).epoch, 2u);
+}
+
+// ------------------------------------------------------------ commit stamps
+
+TEST(CommitStamps, StampedInBatchOrderAboveEveryValidatedRead) {
+  // Stamps are taken at commit time, in batch order, from a counter first
+  // advanced past the highest version any entry validated — here one that
+  // another client process committed with its own, larger counter.
+  const std::int64_t foreign = rc::kVersionBase + 50'000'000;
+  std::vector<kv::BatchEntry> entries(3);
+  entries[1].reads = {{"a", foreign}};
+  entries[2].reads = {{"b", 1}};
+  rc::stamp_entries(entries);
+  EXPECT_LT(entries[0].txn, entries[1].txn);
+  EXPECT_LT(entries[1].txn, entries[2].txn);
+  EXPECT_GT(rc::kVersionBase + static_cast<std::int64_t>(entries[0].txn),
+            foreign);
 }
 
 // -------------------------------------------------------------- store level

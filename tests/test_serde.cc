@@ -74,6 +74,15 @@ TEST(IoPrimitives, TruncatedInputThrows) {
 
 class CodecTest : public ::testing::TestWithParam<const Codec*> {};
 
+}  // namespace
+
+// Prints a codec parameter by name (found by argument-dependent lookup), so
+// the listed test names are stable across runs instead of carrying a
+// pointer that address-space randomisation changes on every start.
+void PrintTo(const Codec* codec, std::ostream* os) { *os << codec->name(); }
+
+namespace {
+
 TEST_P(CodecTest, ScalarRoundTrips) {
   const Codec& codec = *GetParam();
   for (const Value& v :

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "common/env.h"
 #include "common/sync.h"
@@ -358,6 +359,38 @@ TEST_F(SpecEngineTest, AdversarialAlwaysWrongPredictionsStillComplete) {
   auto stats = client_engine_->stats();
   EXPECT_EQ(stats.predictions_correct, 0u);
   EXPECT_GE(stats.reexecutions, 5u);
+}
+
+TEST_F(SpecEngineTest, CallsFromAnAbandonedBranchLeaveNoServerState) {
+  // A wrong-prediction callback issues calls until its branch is abandoned.
+  // One call per chain usually races the abandonment: it passes call()'s
+  // liveness check, but its node is born incorrect. Such a call must send
+  // nothing — a request sent with caller_speculative=true and no listener
+  // to send the state change would pin a server record forever.
+  register_plus();
+  server2_engine_->register_method("noop", Handler([](const ServerCallPtr& c) {
+    c->finish(Value(0));
+  }));
+  auto factory = []() -> CallbackFn {
+    return [](SpecContext& ctx, const Value& v) -> CallbackResult {
+      if (v.as_int() == 3) return v;  // the actual: done
+      for (int i = 0; i < 20000; ++i) {
+        ctx.call("server2", "noop", make_args());  // throws once abandoned
+      }
+      return v;
+    };
+  };
+  for (int i = 0; i < 30; ++i) {
+    auto future = client_engine_->call("server", "plus", make_args(1, 2),
+                                       {Value(99)}, factory);
+    EXPECT_EQ(future->get(), Value(3));
+  }
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (server2_engine_->debug_sizes().incoming != 0 &&
+         Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server2_engine_->debug_sizes().incoming, 0u);
 }
 
 }  // namespace
